@@ -142,8 +142,7 @@ func BenchmarkTableIII_MGResTensor(b *testing.B) { opBench(b, fem.NewTensor(tabl
 func BenchmarkTableIV_GMGi(b *testing.B) { sinkerSolveBench(b, 8, 100, nil) }
 func BenchmarkTableIV_GMGii(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) {
-		c.FineKind = op.Assembled
-		c.GalerkinAll = true
+		c.FineKind = op.Galerkin
 	})
 }
 func BenchmarkTableIV_SAi(b *testing.B) {

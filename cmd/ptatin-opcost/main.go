@@ -62,7 +62,7 @@ func main() {
 	vcycleGate := flag.Float64("vcycle-gate", 0, "with -vcycle: exit nonzero if the blocked-f64 smoother speedup falls below this (CI regression gate; 0 disables)")
 	vcycleParity := flag.Bool("vcycle-parity", true, "with -vcycle: run the Δη=10⁶ f64/f32 outer-iteration parity solves")
 	grids := flag.String("grids", "4,8,12", "comma-separated level sizes for -json")
-	opFlag := flag.String("op", "", "restrict -json to one backend (mf|mfref|asm|galerkin)")
+	opFlag := flag.String("op", "", "restrict -json to one of the benchmarked backends (mf|mfref|asm|galerkin)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
 	*workers = cli.Workers(*workers)
@@ -272,8 +272,8 @@ func runJSONBench(grids, only string, workers, reps int) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if k == op.Auto {
-			log.Fatal("ptatin-opcost -json: auto is a selector, not a backend; pick mf|mfref|asm|galerkin")
+		if k != op.Tensor && k != op.MFRef && k != op.Assembled && k != op.Galerkin {
+			log.Fatalf("ptatin-opcost -json: -op %v is not benchmarked; pick mf|mfref|asm|galerkin", k)
 		}
 		restrict, restricted = k, true
 	}
@@ -338,7 +338,7 @@ func runJSONBench(grids, only string, workers, reps int) {
 			})
 		}
 	}
-	mach := perfmodel.CalibratedMachine()
+	mach := perfmodel.MeasureMachine()
 	doc := struct {
 		Schema  string `json:"schema"`
 		Workers int    `json:"workers"`
@@ -395,7 +395,7 @@ func runVCycleBench(m, levels, workers, reps int, gate float64, parityRun bool) 
 		probs := mg.CoarsenProblems(p, levels, mg.FuncCoeffCoarsener(eta, nil))
 		t0 := time.Now()
 		mgp, err := mg.Build(probs, mg.Options{
-			Kinds:       op.DefaultLevelKinds(levels, op.Tensor, false),
+			Kinds:       op.DefaultLevelKinds(levels, op.Tensor),
 			SmoothSteps: 2,
 			Workers:     workers,
 			Blocked:     c.blocked,

@@ -30,7 +30,7 @@ func main() {
 	mz := flag.Int("mz", 16, "elements in z (paper: 128)")
 	steps := flag.Int("steps", 5, "time steps (paper: 1500-2000)")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = runtime.NumCPU())")
-	opFlag := flag.String("op", "", "fine-level operator representation (auto|mf|mfref|asm|galerkin)")
+	opFlag := flag.String("op", "", "fine-level operator representation (mf|mfc|mfref|asm|galerkin); coarse levels use the fixed asm/galerkin layout")
 	blocked := flag.Bool("blocked", false, "cache-blocked wavefront Chebyshev smoothers (substitutes a resident fine operator inside the hierarchy)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32); the outer Krylov method always iterates in f64")
 	oblique := flag.Bool("oblique", false, "apply z-shortening (BC variant ii)")

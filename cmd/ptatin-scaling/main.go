@@ -39,7 +39,7 @@ func main() {
 	grids := flag.String("grids", "8,12,16", "comma-separated grid sizes (elements/direction)")
 	cores := flag.String("cores", "1,2,4", "comma-separated worker counts (0 entries = runtime.NumCPU())")
 	deta := flag.Float64("deta", 100, "viscosity contrast")
-	opFlag := flag.String("op", "", "restrict the sweep to one fine-level representation (auto|mf|mfref|asm|galerkin); default sweeps asm, mfref and mf")
+	opFlag := flag.String("op", "", "restrict the sweep to one fine-level representation (mf|mfref|asm|galerkin); default sweeps asm, mfref and mf")
 	ranks := flag.String("ranks", "", "run the rank-distributed solve over a PxxPyxPz rank grid (e.g. 2x2x1) instead of the shared-memory sweep")
 	jsonFlag := flag.Bool("json", false, "with -ranks/-sweep: emit the machine-readable scaling benchmark (BENCH_PR5/BENCH_PR6 schema) and exit")
 	sweep := flag.Bool("sweep", false, "run the PR6 weak+strong scaling sweep over 1..512 simulated ranks (pipelined Krylov + coarse agglomeration + fabric model)")
@@ -90,14 +90,12 @@ func main() {
 		op.MFRef:     "MF",
 		op.Tensor:    "Tens",
 		op.Galerkin:  "Galk",
-		op.Auto:      "Auto",
 	}
 	countName := map[op.Kind]string{
 		op.Assembled: "Assembled",
 		op.MFRef:     "Matrix-free",
 		op.Tensor:    "Tensor",
 		op.Galerkin:  "Assembled",
-		op.Auto:      "Tensor",
 	}
 	kinds := []op.Kind{op.Assembled, op.MFRef, op.Tensor}
 	if *opFlag != "" {

@@ -39,7 +39,7 @@ func main() {
 	nc := flag.Int("nc", 8, "number of spheres")
 	rc := flag.Float64("rc", 0.1, "sphere radius")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = runtime.NumCPU())")
-	opFlag := flag.String("op", "", "fine-level operator representation (auto|mf|mfref|asm|galerkin)")
+	opFlag := flag.String("op", "", "fine-level operator representation (mf|mfc|mfref|asm|galerkin); coarse levels use the fixed asm/galerkin layout")
 	blocked := flag.Bool("blocked", false, "cache-blocked wavefront Chebyshev smoothers (substitutes a resident fine operator inside the hierarchy)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32); the outer Krylov method always iterates in f64")
 	fig2 := flag.Bool("fig2", false, "run the Δη robustness study (Figure 2)")
@@ -191,12 +191,6 @@ func runFig2(m, nc int, rc float64, workers int, fineKind op.Kind, blocked bool,
 		}
 		fmt.Fprintf(os.Stderr, "delta_eta=%g: converged=%v iterations=%d rel=%.2e\n",
 			deta, res.Converged, res.Iterations, res.Residual/res.Residual0)
-		if fineKind == op.Auto {
-			fmt.Fprintln(os.Stderr, "# operator auto-selection")
-			for _, d := range s.SelectionReport() {
-				fmt.Fprintln(os.Stderr, "#   "+d.Summary())
-			}
-		}
 	}
 }
 

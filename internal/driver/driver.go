@@ -193,12 +193,6 @@ func Run(m *model.Model, cfg Config) error {
 			fmt.Fprintf(out, "# checkpointed step %d to %s\n", m.StepNum, path)
 		}
 	}
-	if m.Cfg.FineKind == op.Auto && m.LastStokes != nil {
-		fmt.Fprintln(os.Stderr, "# operator auto-selection")
-		for _, d := range m.LastStokes.SelectionReport() {
-			fmt.Fprintln(os.Stderr, "#   "+d.Summary())
-		}
-	}
 	if cfg.JSONOut != nil {
 		total := time.Since(runStart).Seconds()
 		rec := RunRecord{

@@ -19,7 +19,7 @@ func buildDistFixture(t *testing.T, m, levels int, px, py, pz int) (*MG, []*comm
 	fine := stdProblem(m, eta)
 	probs := CoarsenProblems(fine, levels, FuncCoeffCoarsener(eta, nil))
 	mgp, err := Build(probs, Options{
-		Kinds:       op.DefaultLevelKinds(levels, op.Tensor, false),
+		Kinds:       op.DefaultLevelKinds(levels, op.Tensor),
 		SmoothSteps: 2,
 	})
 	if err != nil {
@@ -110,7 +110,7 @@ func TestDistMGBlockedMatchesSerial(t *testing.T) {
 	fine := stdProblem(8, eta)
 	probs := CoarsenProblems(fine, 2, FuncCoeffCoarsener(eta, nil))
 	mgp, err := Build(probs, Options{
-		Kinds:       op.DefaultLevelKinds(2, op.Tensor, false),
+		Kinds:       op.DefaultLevelKinds(2, op.Tensor),
 		SmoothSteps: 2,
 		Blocked:     true,
 	})

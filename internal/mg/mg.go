@@ -13,7 +13,7 @@ import (
 
 // Level is one rung of the multigrid hierarchy. The operator is an
 // internal/op representation; which one (matrix-free, assembled,
-// Galerkin, runtime-selected) is entirely op's concern — this package
+// Galerkin, stored-coefficient) is entirely op's concern — this package
 // never dispatches on it.
 type Level struct {
 	Prob     *fem.Problem // discretization (nil only if purely algebraic)
@@ -146,12 +146,6 @@ type Options struct {
 	// all transfer operators and vectors. Meant for preconditioner use
 	// under a flexible outer Krylov method (FGMRES/GCR).
 	Precision op.Precision
-	// Auto is the base policy for op.Auto levels; the coarsest level
-	// additionally gets NeedCSR (the coarse solver consumes a matrix).
-	Auto op.Policy
-	// Telemetry, when non-nil, receives per-level selection decisions
-	// under level<i>/select (same scope SetTelemetry instruments).
-	Telemetry *telemetry.Scope
 }
 
 // Build wires a multigrid hierarchy from per-level discretizations
@@ -185,18 +179,11 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 		if l == 0 && opt.FineOp != nil {
 			lev.Op = opt.FineOp
 		} else {
-			pol := opt.Auto
-			pol.NeedCSR = l == len(probs)-1
-			pol.AllowF32 = opt.Precision == op.F32 && !pol.NeedCSR
 			env := op.Env{
 				Prob:    p,
 				Workers: opt.Workers,
 				Level:   l,
 				Levels:  len(probs),
-				Policy:  &pol,
-			}
-			if opt.Telemetry != nil {
-				env.Telemetry = opt.Telemetry.Child(fmt.Sprintf("level%d", l))
 			}
 			if l > 0 {
 				finer := m.Levels[l-1]
@@ -204,7 +191,7 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 				env.FineCSR = func() *la.CSR { return finer.Op.CSR() }
 				env.Prolong = lp.ToCSR
 			}
-			kind := levelKind(opt.Kinds[l], pol.NeedCSR, opt)
+			kind := levelKind(opt.Kinds[l], l == len(probs)-1, opt)
 			o, err := op.New(kind, env)
 			if err != nil {
 				return nil, fmt.Errorf("mg: level %d (%v): %w", l, kind, err)
@@ -225,12 +212,6 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 		lmax := krylov.EstimateLambdaMax(lev.Op, jac, opt.EigIts)
 		lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, opt.SmoothSteps)
 		if opt.Blocked {
-			// The blocked smoother needs the operator's resident backing;
-			// force an undecided Auto level to commit so the answer is
-			// definitive here rather than after the first applies.
-			if a, ok := lev.Op.(*op.AutoOp); ok {
-				a.ForceCommit()
-			}
 			if res := op.ResidentOf(lev.Op); res != nil {
 				lev.Blocked = fem.NewBlockedChebyshev(res, jac.InvDiag, lmax, opt.SmoothSteps)
 				// Keep the unblocked fallback (distributed views copy its
@@ -307,20 +288,6 @@ func (m *MG) Refresh() error {
 		}
 	}
 	return nil
-}
-
-// SelectionReport collects the op.Auto decisions of every level that has
-// one (empty when no level used runtime selection). Levels still
-// undecided are forced to commit first so the report is definitive.
-func (m *MG) SelectionReport() []op.Decision {
-	var out []op.Decision
-	for _, lev := range m.Levels {
-		if a, ok := lev.Op.(*op.AutoOp); ok {
-			a.ForceCommit()
-			out = append(out, a.Decision())
-		}
-	}
-	return out
 }
 
 // UseBlockJacobiCoarse installs a block-Jacobi + exact-LU coarse solver on

@@ -38,9 +38,9 @@ type Model struct {
 	// Stokes solver configuration; the preconditioner is rebuilt on each
 	// nonlinear relinearization with the current Picard coefficients.
 	Cfg stokes.Config
-	// LastStokes is the most recent preconditioner built by SolveStokes;
-	// drivers inspect it after a solve for the per-level operator
-	// selection report (Cfg.FineKind == op.Auto).
+	// LastStokes is the most recent solver stack prepared by SolveStokes;
+	// callers inspect it after a step for its hierarchy, operators and
+	// outer probes.
 	LastStokes *stokes.Solver
 	// Backend executes the inner linear solves of the nonlinear Stokes
 	// iteration. nil selects the built-in shared-memory path
@@ -316,9 +316,10 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 				d6 := make([]float64, 6*fem.NQP*nel)
 				fem.StrainRateAtQP(prob, x[:nu], d6, nil)
 				nop := fem.NewNewton(fem.NewTensor(prob), d6, facQP)
-				return stokes.NewOp(prob, nop, coupling), s.FS
+				jop := stokes.NewOp(prob, nop, coupling)
+				return stokes.NewOpProbe(jop, s.Tel.Child("outer").Timer("matmult")), s.PCApply
 			}
-			return s.Op, s.FS
+			return s.MatMult, s.PCApply
 		},
 		Method:      "fgmres",
 		InnerParams: m.Cfg.EffectiveParams(),

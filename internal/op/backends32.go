@@ -1,18 +1,10 @@
 package op
 
 import (
-	"time"
-
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/perfmodel"
 )
-
-func init() {
-	Register(TensorC, func(env Env) (Operator, error) { return newResidentOp(env, false), nil })
-	Register(TensorF32, func(env Env) (Operator, error) { return newResidentOp(env, true), nil })
-	Register(AssembledF32, newAsm32Op)
-}
 
 // ResidentBacked is implemented by operators whose apply is backed by a
 // fem.Resident. The cache-blocked smoother and the fused distributed halo
@@ -22,16 +14,11 @@ type ResidentBacked interface {
 	Resident() *fem.Resident
 }
 
-// ResidentOf unwraps an operator to its fem.Resident backing — following
-// an Auto commitment — or returns nil for non-resident representations.
+// ResidentOf unwraps an operator to its fem.Resident backing, or returns
+// nil for non-resident representations.
 func ResidentOf(o Operator) *fem.Resident {
-	switch v := o.(type) {
-	case ResidentBacked:
+	if v, ok := o.(ResidentBacked); ok {
 		return v.Resident()
-	case *AutoOp:
-		if v.committed != nil {
-			return ResidentOf(v.committed)
-		}
 	}
 	return nil
 }
@@ -65,11 +52,10 @@ func residentCost(p *fem.Problem, f32 bool) Cost {
 // residual evaluation stays full precision regardless of the
 // preconditioner's width, as in the paper's matrix-free residuals.
 type residentOp struct {
-	p      *fem.Problem
-	f32    bool
-	mf     *fem.TensorOp
-	r      *fem.Resident
-	setupT time.Duration
+	p   *fem.Problem
+	f32 bool
+	mf  *fem.TensorOp
+	r   *fem.Resident
 }
 
 func newResidentOp(env Env, f32 bool) *residentOp {
@@ -80,9 +66,7 @@ func (o *residentOp) N() int { return o.p.DA.NVelDOF() }
 
 func (o *residentOp) Setup() error {
 	if o.r == nil {
-		start := time.Now()
 		o.r = fem.NewResident(o.p, o.f32)
-		o.setupT = time.Since(start)
 	}
 	return nil
 }
@@ -100,9 +84,7 @@ func (o *residentOp) Refresh() error {
 	if o.r == nil {
 		return o.Setup()
 	}
-	start := time.Now()
 	o.r.Setup()
-	o.setupT = time.Since(start)
 	return nil
 }
 
@@ -124,9 +106,6 @@ func (o *residentOp) Resident() *fem.Resident {
 	o.Setup()
 	return o.r
 }
-
-// SetupTime reports the measured coefficient-precompute wall time.
-func (o *residentOp) SetupTime() time.Duration { return o.setupT }
 
 // asm32Cost is asmCost with the single-precision value stream: 12 bytes
 // per stored value+index (4-byte value, 8-byte column index) instead of
@@ -166,23 +145,20 @@ type asm32Op struct {
 	va      *fem.ViscousAssembly
 	a64     *la.CSR
 	a32     *la.CSR32
-	setupT  time.Duration
 }
 
-func newAsm32Op(env Env) (Operator, error) {
-	return &asm32Op{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
+func newAsm32Op(env Env) *asm32Op {
+	return &asm32Op{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}
 }
 
 func (o *asm32Op) N() int { return o.p.DA.NVelDOF() }
 
 func (o *asm32Op) Setup() error {
 	if o.a32 == nil {
-		start := time.Now()
 		o.va = fem.NewViscousAssembly(o.p)
 		o.va.Refresh()
 		o.a64 = o.va.A
 		o.a32 = la.NewCSR32(o.a64)
-		o.setupT = time.Since(start)
 	}
 	return nil
 }
@@ -193,12 +169,10 @@ func (o *asm32Op) Refresh() error {
 	if o.a32 == nil {
 		return o.Setup()
 	}
-	start := time.Now()
 	o.va.Refresh()
 	for i, v := range o.a64.Val {
 		o.a32.Val32[i] = float32(v)
 	}
-	o.setupT = time.Since(start)
 	return nil
 }
 
@@ -221,6 +195,3 @@ func (o *asm32Op) Diag(d la.Vec) {
 func (o *asm32Op) Cost() Cost   { return asm32Cost(o.p.DA.NElements(), o.a32, o.a64) }
 func (o *asm32Op) Kind() Kind   { return AssembledF32 }
 func (o *asm32Op) CSR() *la.CSR { o.Setup(); return o.a64 }
-
-// SetupTime reports the measured assembly+conversion wall time.
-func (o *asm32Op) SetupTime() time.Duration { return o.setupT }

@@ -1,17 +1,17 @@
 // Package op is the unified viscous-operator layer: a single Operator
-// interface over the four representations studied in the paper (tensor
+// interface over the representations studied in the paper (tensor
 // matrix-free, reference matrix-free, rediscretized CSR, Galerkin CSR)
-// plus a cost-model-driven Auto selector that picks a representation per
-// multigrid level at runtime. The paper's headline observation — no
-// single representation wins everywhere; matrix-free dominates on fine
-// Q2 levels while assembled SpMV wins where the coarse solver needs a
-// matrix — lives here as behaviour instead of as constructor arguments
-// scattered across fem, mg and stokes.
+// plus the stored-coefficient and reduced-precision variants the
+// cache-blocked smoothers use. Each multigrid level's representation is
+// fixed by configuration, as in the paper's Tables I–IV:
+// DefaultLevelKinds gives the production layout (matrix-free fine level,
+// assembled or Galerkin coarse levels), and callers may override any
+// level explicitly.
 //
 // Every backend carries cost metadata (setup flops/bytes, per-apply
 // flops/bytes, assembled storage footprint) derived from the analytic
-// per-element counts in internal/perfmodel, so callers can rank
-// representations on a roofline model before ever applying one.
+// per-element counts in internal/perfmodel, so reports can place each
+// representation's measured apply time against its roofline prediction.
 package op
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
-	"ptatin3d/internal/telemetry"
 )
 
 // Kind identifies an operator representation.
@@ -41,11 +40,6 @@ const (
 	// Galerkin builds the CSR operator as the triple product Pᵀ·A_fine·P;
 	// requires an assembled finer level. Flag name: "galerkin".
 	Galerkin
-	// Auto selects a representation at runtime: candidates are ranked by
-	// roofline estimates, the first few real applies of the surviving
-	// candidates are timed, and the winner (assembly cost amortized over
-	// the expected apply count) is committed. Flag name: "auto".
-	Auto
 	// TensorC applies the stored-coefficient resident tensor kernel
 	// ("TensorC" of Table I, restructured for cache-blocked smoothing):
 	// the combined metric+coefficient tensor is precomputed at Setup, so
@@ -77,8 +71,6 @@ func (k Kind) String() string {
 		return "asm"
 	case Galerkin:
 		return "galerkin"
-	case Auto:
-		return "auto"
 	case TensorC:
 		return "mfc"
 	case TensorF32:
@@ -89,7 +81,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind parses a -op flag value (auto|mf|mfc|mf32|mfref|asm|asm32|
+// ParseKind parses a -op flag value (mf|mfc|mf32|mfref|asm|asm32|
 // galerkin, plus the Table-I aliases tensor/tens, ref, asmb/assembled,
 // rap).
 func ParseKind(s string) (Kind, error) {
@@ -102,8 +94,6 @@ func ParseKind(s string) (Kind, error) {
 		return Assembled, nil
 	case "galerkin", "rap":
 		return Galerkin, nil
-	case "auto":
-		return Auto, nil
 	case "mfc", "tensorc", "resident":
 		return TensorC, nil
 	case "mf32", "tensorf32":
@@ -111,7 +101,7 @@ func ParseKind(s string) (Kind, error) {
 	case "asm32", "assembledf32":
 		return AssembledF32, nil
 	}
-	return 0, fmt.Errorf("op: unknown kind %q (want auto|mf|mfc|mf32|mfref|asm|asm32|galerkin)", s)
+	return 0, fmt.Errorf("op: unknown kind %q (want mf|mfc|mf32|mfref|asm|asm32|galerkin)", s)
 }
 
 // Precision selects the arithmetic width of a preconditioner's operator
@@ -192,25 +182,11 @@ type Env struct {
 	Prob    *fem.Problem
 	Workers int
 	// Level / Levels locate the operator in a multigrid hierarchy
-	// (Level 0 is finest); informational, used for reporting.
+	// (Level 0 is finest); informational only.
 	Level, Levels int
 	FineCSR       func() *la.CSR
 	Prolong       func() *la.CSR
-	// Policy tunes Auto; nil selects DefaultPolicy.
-	Policy *Policy
-	// Telemetry, when non-nil, receives selection decisions and measured
-	// throughputs under a "select" child scope.
-	Telemetry *telemetry.Scope
 }
-
-// Builder constructs one representation in an environment.
-type Builder func(Env) (Operator, error)
-
-var registry = map[Kind]Builder{}
-
-// Register installs a builder for a kind (called by the backends at init;
-// exported so external packages can plug in additional representations).
-func Register(k Kind, b Builder) { registry[k] = b }
 
 // New builds the representation k for env. The returned operator is not
 // yet set up; call Setup before (or let the first Apply trigger) use.
@@ -224,11 +200,23 @@ func New(k Kind, env Env) (Operator, error) {
 	if env.Workers <= 0 {
 		env.Workers = 1
 	}
-	b, ok := registry[k]
-	if !ok {
-		return nil, fmt.Errorf("op: no builder registered for kind %v", k)
+	switch k {
+	case Tensor:
+		return &tensorOp{k: fem.NewTensor(env.Prob), p: env.Prob}, nil
+	case MFRef:
+		return &mfrefOp{k: fem.NewMF(env.Prob), p: env.Prob}, nil
+	case Assembled:
+		return &asmOp{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
+	case Galerkin:
+		return newGalerkinOp(env)
+	case TensorC:
+		return newResidentOp(env, false), nil
+	case TensorF32:
+		return newResidentOp(env, true), nil
+	case AssembledF32:
+		return newAsm32Op(env), nil
 	}
-	return b(env)
+	return nil, fmt.Errorf("op: unknown kind %v", k)
 }
 
 // DefaultLevelKinds returns the per-level representation layout for a
@@ -236,24 +224,21 @@ func New(k Kind, env Env) (Operator, error) {
 // kind, then the paper's production coarse layout — rediscretized CSR on
 // the first coarse level and Galerkin products below it (the finest
 // level is usually matrix-free, so the first coarse level cannot be a
-// Galerkin product of it). galerkinAll selects the GMG-ii variant where
-// every coarse operator is a Galerkin product (requires an assembled
-// fine level). A fine kind of Auto makes every level Auto — the selector
-// decides each level independently.
-func DefaultLevelKinds(levels int, fine Kind, galerkinAll bool) []Kind {
+// Galerkin product of it). A fine kind of Galerkin selects the GMG-ii
+// layout: an assembled fine level with a Galerkin product on every
+// coarse level.
+func DefaultLevelKinds(levels int, fine Kind) []Kind {
 	kinds := make([]Kind, levels)
-	kinds[0] = fine
-	for l := 1; l < levels; l++ {
-		switch {
-		case fine == Auto:
-			kinds[l] = Auto
-		case galerkinAll:
-			kinds[l] = Galerkin
-		case l == 1:
-			kinds[l] = Assembled
-		default:
-			kinds[l] = Galerkin
-		}
+	for l := range kinds {
+		kinds[l] = Galerkin
+	}
+	switch {
+	case fine == Galerkin:
+		kinds[0] = Assembled
+	case levels > 1:
+		kinds[0], kinds[1] = fine, Assembled
+	default:
+		kinds[0] = fine
 	}
 	return kinds
 }

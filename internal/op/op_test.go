@@ -199,8 +199,7 @@ func TestParseKind(t *testing.T) {
 		"mfref": op.MFRef, "ref": op.MFRef,
 		"asm": op.Assembled, "assembled": op.Assembled,
 		"galerkin": op.Galerkin, "rap": op.Galerkin,
-		"auto": op.Auto,
-		"mfc":  op.TensorC, "tensorc": op.TensorC,
+		"mfc": op.TensorC, "tensorc": op.TensorC,
 		"mf32": op.TensorF32, "asm32": op.AssembledF32,
 	}
 	for s, want := range cases {
@@ -209,95 +208,10 @@ func TestParseKind(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := op.ParseKind("petsc"); err == nil {
-		t.Error("ParseKind accepted an unknown representation")
-	}
-}
-
-// TestAutoSelectsPerLevel drives the multigrid builder with op.Auto on
-// every level of a 3-level hierarchy and checks the paper's layout
-// emerges: a matrix-free winner on the finest level (compute-bound,
-// no setup to amortize) and an assembled representation on the coarsest
-// (the coarse solver consumes CSR).
-func TestAutoSelectsPerLevel(t *testing.T) {
-	op.ResetDecisionCache()
-	eta := func(x, y, z float64) float64 {
-		return math.Exp(math.Sin(3*x) * math.Cos(2*y) * math.Sin(z))
-	}
-	da := mesh.New(8, 8, 8, 0, 1, 0, 1, 0, 1)
-	bc := mesh.NewBC(da)
-	bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin, mesh.ZMax)
-	fine := fem.NewProblem(da, bc)
-	fine.Workers = 2
-	fine.SetCoefficientsFunc(eta, nil)
-	probs := mg.CoarsenProblems(fine, 3, mg.FuncCoeffCoarsener(eta, nil))
-
-	pol := op.DefaultPolicy()
-	pol.DisableCache = true
-	mgp, err := mg.Build(probs, mg.Options{
-		Kinds:       []op.Kind{op.Auto, op.Auto, op.Auto},
-		SmoothSteps: 2,
-		Workers:     2,
-		Auto:        pol,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decs := mgp.SelectionReport()
-	if len(decs) != 3 {
-		t.Fatalf("expected 3 auto decisions, got %d", len(decs))
-	}
-	for _, d := range decs {
-		if !d.Committed {
-			t.Fatalf("level %d: decision not committed: %+v", d.Level, d)
+	for _, s := range []string{"auto", "petsc"} {
+		if _, err := op.ParseKind(s); err == nil {
+			t.Errorf("ParseKind accepted the unknown representation %q", s)
 		}
-		t.Log(d.Summary())
-	}
-	if k := decs[0].Chosen; k != op.Tensor && k != op.TensorC && k != op.MFRef {
-		t.Errorf("finest level chose %v; want a matrix-free representation", k)
-	}
-	last := decs[len(decs)-1]
-	if k := last.Chosen; k != op.Assembled && k != op.Galerkin {
-		t.Errorf("coarsest level chose %v; want an assembled representation", k)
-	}
-	if !last.Forced {
-		t.Error("coarsest level decision should be forced by the CSR requirement")
-	}
-}
-
-// TestAutoDecisionCache checks that a second identical hierarchy reuses
-// the committed decision instead of re-trialing.
-func TestAutoDecisionCache(t *testing.T) {
-	op.ResetDecisionCache()
-	eta := func(x, y, z float64) float64 { return 1 + x + y*z }
-	build := func() op.Decision {
-		da := mesh.New(4, 4, 4, 0, 1, 0, 1, 0, 1)
-		bc := mesh.NewBC(da)
-		bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin, mesh.ZMax)
-		p := fem.NewProblem(da, bc)
-		p.Workers = 2
-		p.SetCoefficientsFunc(eta, nil)
-		a, err := op.New(op.Auto, op.Env{Prob: p, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		auto := a.(*op.AutoOp)
-		if err := auto.Setup(); err != nil {
-			t.Fatal(err)
-		}
-		auto.ForceCommit()
-		return auto.Decision()
-	}
-	first := build()
-	if !first.Committed || first.FromCache {
-		t.Fatalf("first decision should be a fresh commit: %+v", first)
-	}
-	second := build()
-	if !second.FromCache {
-		t.Fatalf("second decision should come from the cache: %+v", second)
-	}
-	if second.Chosen != first.Chosen {
-		t.Fatalf("cache returned %v, first run chose %v", second.Chosen, first.Chosen)
 	}
 }
 
@@ -355,8 +269,7 @@ func TestF32OpEquivalence(t *testing.T) {
 }
 
 // TestResidentOf checks the unwrapping helper: resident-backed kinds
-// expose their fem.Resident (including through an Auto commitment), and
-// non-resident kinds return nil.
+// expose their fem.Resident, and non-resident kinds return nil.
 func TestResidentOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ec := randomEquivCase(t, 2, rng)
@@ -378,50 +291,5 @@ func TestResidentOf(t *testing.T) {
 	mf, _ := op.New(op.Tensor, op.Env{Prob: ec.coarse, Workers: 2})
 	if op.ResidentOf(mf) != nil {
 		t.Fatal("ResidentOf(Tensor) != nil")
-	}
-}
-
-// TestAutoCacheKeyedByPrecision is the regression test for the decision
-// cache ignoring precision: an f64 selection must NOT be replayed into an
-// AllowF32 selector for the same level shape (and vice versa), because
-// the candidate fields — and the acceptable winners — differ.
-func TestAutoCacheKeyedByPrecision(t *testing.T) {
-	op.ResetDecisionCache()
-	eta := func(x, y, z float64) float64 { return 1 + x*y + z }
-	build := func(allowF32 bool) op.Decision {
-		da := mesh.New(4, 4, 4, 0, 1, 0, 1, 0, 1)
-		bc := mesh.NewBC(da)
-		bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin, mesh.ZMax)
-		p := fem.NewProblem(da, bc)
-		p.Workers = 2
-		p.SetCoefficientsFunc(eta, nil)
-		pol := op.DefaultPolicy()
-		pol.AllowF32 = allowF32
-		a, err := op.New(op.Auto, op.Env{Prob: p, Workers: 2, Policy: &pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		auto := a.(*op.AutoOp)
-		if err := auto.Setup(); err != nil {
-			t.Fatal(err)
-		}
-		auto.ForceCommit()
-		return auto.Decision()
-	}
-	f64first := build(false)
-	if !f64first.Committed || f64first.FromCache {
-		t.Fatalf("first f64 decision should be a fresh commit: %+v", f64first)
-	}
-	f32first := build(true)
-	if f32first.FromCache {
-		t.Fatalf("f32 selection replayed the f64 cache entry: %+v", f32first)
-	}
-	f32second := build(true)
-	if !f32second.FromCache || f32second.Chosen != f32first.Chosen {
-		t.Fatalf("identical f32 selection should hit the cache: %+v", f32second)
-	}
-	f64second := build(false)
-	if !f64second.FromCache || f64second.Chosen != f64first.Chosen {
-		t.Fatalf("f64 cache entry lost after f32 selection: %+v", f64second)
 	}
 }

@@ -22,14 +22,12 @@ type Config struct {
 	// SAML-* rows of Table IV).
 	Levels int
 	// FineKind picks the fine-level operator representation (op.Tensor,
-	// op.MFRef, op.Assembled — the Tens/MF/Asmb columns of Tables I–III —
-	// or op.Auto for runtime selection on every level). op.Galerkin is
-	// shorthand for the GMG-ii layout: assembled fine level with Galerkin
-	// products on every coarse level.
+	// op.MFRef, op.Assembled — the Tens/MF/Asmb columns of Tables I–III).
+	// The coarse levels follow op.DefaultLevelKinds. op.Galerkin selects
+	// the GMG-ii layout: assembled fine level with Galerkin products on
+	// every coarse level; the built Solver's Cfg.FineKind then reads
+	// op.Assembled, the representation the fine level actually uses.
 	FineKind op.Kind
-	// GalerkinAll makes every coarse operator a Galerkin product (the
-	// GMG-ii configuration); requires an assembled fine level.
-	GalerkinAll bool
 	// Blocked runs the V-cycle's Chebyshev smoothers cache-blocked
 	// (mg.Options.Blocked). The hierarchy then builds its own
 	// resident-backed fine operator for smoothing; the coupled outer
@@ -69,9 +67,8 @@ type Config struct {
 	// Telemetry, when non-nil, is the scope the solver instruments itself
 	// under: "outer" (matmult/pcapply/coarse timers, setup_seconds gauge),
 	// "krylov" (outer iteration counters + residual trace), "mg"/"amg"
-	// (per-level cycle breakdowns, op.Auto selection decisions under
-	// mg/level<i>/select). When nil the solver still wires its probes to a
-	// private registry so MatMult/PCApply counts stay live.
+	// (per-level cycle breakdowns). When nil the solver still wires its
+	// probes to a private registry so MatMult/PCApply counts stay live.
 	Telemetry *telemetry.Scope
 	// Workers is the intra-node parallel width ("cores").
 	Workers int
@@ -169,12 +166,8 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.FineKind == op.Galerkin {
-		// -op=galerkin means the GMG-ii layout: assembled fine operator
-		// with Galerkin products on every coarse level.
-		cfg.FineKind = op.Assembled
-		cfg.GalerkinAll = true
-	}
+	levelKinds := op.DefaultLevelKinds(max(1, cfg.Levels), cfg.FineKind)
+	cfg.FineKind = levelKinds[0]
 	cfg.Params = cfg.EffectiveParams()
 	prob.Workers = cfg.Workers
 	s := &Solver{Cfg: cfg, Prob: prob}
@@ -190,11 +183,10 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	// the multigrid hierarchy (mg.Options.FineOp), so it is built once.
 	mgScope := s.Tel.Child("mg")
 	auu, err := op.New(cfg.FineKind, op.Env{
-		Prob:      prob,
-		Workers:   cfg.Workers,
-		Level:     0,
-		Levels:    max(1, cfg.Levels),
-		Telemetry: mgScope.Child("level0"),
+		Prob:    prob,
+		Workers: cfg.Workers,
+		Level:   0,
+		Levels:  max(1, cfg.Levels),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("stokes: fine operator: %w", err)
@@ -221,9 +213,6 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		s.SA = sa
 		innerU = sa
 	} else {
-		if cfg.GalerkinAll && cfg.FineKind != op.Assembled {
-			return nil, fmt.Errorf("stokes: GalerkinAll requires an assembled fine level")
-		}
 		probs := mg.CoarsenProblems(prob, cfg.Levels, cfg.CoeffCoarsen)
 		// With blocked or reduced-precision smoothing the hierarchy must
 		// build its own fine-level operator (TensorC/TensorF32) — the
@@ -234,13 +223,12 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 			fineOp = nil
 		}
 		gmg, err := mg.Build(probs, mg.Options{
-			Kinds:       op.DefaultLevelKinds(cfg.Levels, cfg.FineKind, cfg.GalerkinAll),
+			Kinds:       levelKinds,
 			SmoothSteps: cfg.SmoothSteps,
 			Workers:     cfg.Workers,
 			FineOp:      fineOp,
 			Blocked:     cfg.Blocked,
 			Precision:   cfg.Precision,
-			Telemetry:   mgScope,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("stokes: GMG setup: %w", err)
@@ -269,20 +257,6 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	s.SetupTime = time.Since(start)
 	outer.Gauge("setup_seconds").Set(s.SetupTime.Seconds())
 	return s, nil
-}
-
-// SelectionReport returns the per-level op.Auto decisions of the
-// hierarchy (nil when no level selects at runtime).
-func (s *Solver) SelectionReport() []op.Decision {
-	var out []op.Decision
-	if a, ok := s.Op.Auu.(*op.AutoOp); ok && s.MG == nil {
-		a.ForceCommit()
-		out = append(out, a.Decision())
-	}
-	if s.MG != nil {
-		out = append(out, s.MG.SelectionReport()...)
-	}
-	return out
 }
 
 // buildCoarseSolver instantiates the coarsest-level solver from the

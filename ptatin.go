@@ -152,20 +152,18 @@ type (
 	Monitor = stokes.Monitor
 )
 
-// Operator-representation kinds (Table I variants plus runtime
-// selection); see internal/op.
+// Operator-representation kinds (the Table I variants); see internal/op.
 const (
 	MatrixFreeTensor = op.Tensor
 	MatrixFreeRef    = op.MFRef
 	AssembledSpMV    = op.Assembled
 	GalerkinCSR      = op.Galerkin
-	AutoSelect       = op.Auto
 )
 
 // OpKind identifies an operator representation.
 type OpKind = op.Kind
 
-// ParseOpKind parses a -op flag value (auto|mf|mfref|asm|galerkin).
+// ParseOpKind parses a -op flag value (mf|mfc|mf32|mfref|asm|asm32|galerkin).
 func ParseOpKind(s string) (OpKind, error) { return op.ParseKind(s) }
 
 // DefaultStokesConfig returns the paper's production configuration

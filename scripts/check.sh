@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the repository (see README.md): formatting, vet, build,
-# the full test suite, a short-mode pass under the race detector, a racy
+# the full test suite, vet + tests of the separate benchmark module, a
+# short-mode pass under the race detector, a racy
 # re-run of the comm fault/recovery protocol tests, a one-iteration smoke
 # run of the apply-path benchmarks, and short fuzz smoke passes over the
 # decomposition index math and the checkpoint decoder.
@@ -28,6 +29,9 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module: vet + test (root go build skips it) =="
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "== operator representation equivalence =="
 go test -run='^TestOpEquivalence$' -count=1 ./internal/op
 
@@ -45,7 +49,7 @@ go test -race -run 'TestPipelined|TestDistMGAgg|TestAllReduceSumVec' ./internal/
 
 echo "== f32/f64 equivalence + blocked smoother determinism under -race =="
 go test -race \
-    -run 'TestF32OpEquivalence|TestAutoCacheKeyedByPrecision|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestMGBlockedVCycleBitIdentical|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestF32PreconditionedConvergence' \
+    -run 'TestF32OpEquivalence|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestMGBlockedVCycleBitIdentical|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestF32PreconditionedConvergence' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 echo "== parallel MPM + amortized solver setup under -race =="
