@@ -31,7 +31,6 @@ func main() {
 	steps := flag.Int("steps", 5, "time steps (paper: 1500-2000)")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = runtime.NumCPU())")
 	opFlag := flag.String("op", "", "fine-level operator representation (mf|mfc|mfref|asm|galerkin); coarse levels use the fixed asm/galerkin layout")
-	blocked := flag.Bool("blocked", false, "cache-blocked wavefront Chebyshev smoothers (substitutes a resident fine operator inside the hierarchy)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32); the outer Krylov method always iterates in f64")
 	oblique := flag.Bool("oblique", false, "apply z-shortening (BC variant ii)")
 	weak := flag.Float64("weak", 0.05, "lower-crust viscosity (nondim)")
@@ -51,7 +50,7 @@ func main() {
 		o.ObliqueShortening = 0.1
 	}
 	m := scenario.NewRift(o)
-	ov := driver.Overrides{Op: *opFlag, Blocked: *blocked, Precision: *precFlag}
+	ov := driver.Overrides{Op: *opFlag, Precision: *precFlag}
 	if err := ov.Apply(m); err != nil {
 		log.Fatal(err)
 	}

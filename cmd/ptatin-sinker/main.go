@@ -27,7 +27,6 @@ import (
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/model"
-	"ptatin3d/internal/op"
 	"ptatin3d/internal/par"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
@@ -40,7 +39,6 @@ func main() {
 	rc := flag.Float64("rc", 0.1, "sphere radius")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = runtime.NumCPU())")
 	opFlag := flag.String("op", "", "fine-level operator representation (mf|mfc|mfref|asm|galerkin); coarse levels use the fixed asm/galerkin layout")
-	blocked := flag.Bool("blocked", false, "cache-blocked wavefront Chebyshev smoothers (substitutes a resident fine operator inside the hierarchy)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32); the outer Krylov method always iterates in f64")
 	fig2 := flag.Bool("fig2", false, "run the Δη robustness study (Figure 2)")
 	stream := flag.Bool("streamlines", false, "write Figure 1 VTK outputs")
@@ -79,24 +77,9 @@ func main() {
 		}()
 	}
 
+	ov := driver.Overrides{Op: *opFlag, Precision: *precFlag}
 	if *fig2 {
-		fineKind := op.Tensor
-		if *opFlag != "" {
-			k, err := op.ParseKind(*opFlag)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fineKind = k
-		}
-		prec := op.F64
-		if *precFlag != "" {
-			pr, err := op.ParsePrecision(*precFlag)
-			if err != nil {
-				log.Fatal(err)
-			}
-			prec = pr
-		}
-		runFig2(*m, *nc, *rc, *workers, fineKind, *blocked, prec, reg)
+		runFig2(*m, *nc, *rc, *workers, ov, reg)
 		return
 	}
 
@@ -106,7 +89,6 @@ func main() {
 	o.Rc = *rc
 	o.Workers = *workers
 	mdl := scenario.NewSinker(o)
-	ov := driver.Overrides{Op: *opFlag, Blocked: *blocked, Precision: *precFlag}
 	if err := ov.Apply(mdl); err != nil {
 		log.Fatal(err)
 	}
@@ -149,7 +131,7 @@ func main() {
 
 // runFig2 reproduces Figure 2: residual equilibration and convergence as
 // a function of the viscosity contrast.
-func runFig2(m, nc int, rc float64, workers int, fineKind op.Kind, blocked bool, prec op.Precision, reg *telemetry.Registry) {
+func runFig2(m, nc int, rc float64, workers int, ov driver.Overrides, reg *telemetry.Registry) {
 	fmt.Println("# Figure 2 reproduction: vertical momentum vs pressure residual")
 	fmt.Println("# columns: delta_eta, iteration, momentum_resid, vertical_resid, pressure_resid")
 	for _, deta := range []float64{1, 1e2, 1e4} {
@@ -160,18 +142,13 @@ func runFig2(m, nc int, rc float64, workers int, fineKind op.Kind, blocked bool,
 		o.DeltaEta = deta
 		o.Workers = workers
 		mdl := scenario.NewSinker(o)
-
-		cfg := mdl.Cfg
-		cfg.Workers = workers
-		cfg.Params.MaxIt = 1000
-		cfg.CoeffCoarsen = nil // set below via the model's projection
+		if err := ov.Apply(mdl); err != nil {
+			log.Fatal(err)
+		}
 		// Use the model's projected coefficients (the MPM pipeline).
 		mdl.UpdateCoefficients(la.NewVec(mdl.Prob.DA.NVelDOF()+mdl.Prob.DA.NPresDOF()), false)
-		cfg = mdl.Cfg
+		cfg := mdl.Cfg
 		cfg.Params.MaxIt = 1000
-		cfg.FineKind = fineKind
-		cfg.Blocked = blocked
-		cfg.Precision = prec
 		if reg != nil {
 			cfg.Telemetry = reg.Root().Child(fmt.Sprintf("deta%g", deta))
 		}

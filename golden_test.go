@@ -230,18 +230,30 @@ func TestGoldenSinker3F32(t *testing.T) {
 }
 
 // TestGoldenSinker3Backends re-runs the 3-sinker golden configuration
-// under every explicit fine-level operator representation: the choice of
-// representation changes only how A·x is computed, so the solver must
+// under the default layout (mfc fine level shared with a cache-blocked
+// smoother) and every explicit fine-level operator representation: the
+// choice of representation changes only how A·x is computed, and blocking
+// only the order of the smoother's element loop, so the solver must
 // reproduce the same golden record regardless of -op.
 func TestGoldenSinker3Backends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: explicit-backend golden sweep skipped")
 	}
-	for _, k := range []op.Kind{op.MFRef, op.Assembled, op.Galerkin} {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			rec := sinker3Record(t, k, false, op.F64)
-			checkGolden(t, "golden_sinker3", rec, stokes.DefaultConfig().Params.RTol)
+	def := stokes.DefaultConfig()
+	cases := []struct {
+		name    string
+		kind    op.Kind
+		blocked bool
+	}{
+		{"default", def.FineKind, def.Blocked},
+		{op.MFRef.String(), op.MFRef, false},
+		{op.Assembled.String(), op.Assembled, false},
+		{op.Galerkin.String(), op.Galerkin, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rec := sinker3Record(t, c.kind, c.blocked, op.F64)
+			checkGolden(t, "golden_sinker3", rec, def.Params.RTol)
 		})
 	}
 }

@@ -26,7 +26,6 @@ import (
 // compiled model (empty/zero values leave the spec's choice in place).
 type Overrides struct {
 	Op        string // fine-level operator representation
-	Blocked   bool   // cache-blocked smoothers
 	Precision string // V-cycle precision ("f64"/"f32")
 	Restart   int    // FGMRES restart window (stokes.Config.Restart)
 }
@@ -39,9 +38,6 @@ func (o Overrides) Apply(m *model.Model) error {
 			return err
 		}
 		m.Cfg.FineKind = k
-	}
-	if o.Blocked {
-		m.Cfg.Blocked = true
 	}
 	if o.Precision != "" {
 		pr, err := op.ParsePrecision(o.Precision)

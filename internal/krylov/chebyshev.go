@@ -15,13 +15,14 @@ type Chebyshev struct {
 	Steps  int     // iterations per Smooth call
 
 	// Spans, when non-empty, windows the smoother's BLAS-1 updates to
-	// the listed index ranges (a rank's owned+ghost rows) and reuses
-	// per-instance work vectors across Smooth calls, keeping per-rank
-	// work and touched memory O(n/P) on the distributed path. A spanned
-	// Chebyshev is NOT safe for concurrent Smooth calls — distributed
-	// solves give each rank its own instance.
+	// the listed index ranges (a rank's owned+ghost rows), keeping
+	// per-rank work and touched memory O(n/P) on the distributed path.
 	Spans []la.Span
-	work  [4]la.Vec
+	// work holds the r, z, p, A·p vectors, allocated on first use and
+	// reused across Smooth calls. A Chebyshev is therefore NOT safe for
+	// concurrent Smooth calls: each multigrid level and each distributed
+	// rank owns its instance, as it owns its other work vectors.
+	work [4]la.Vec
 
 	// NoFinalResidual elides the last step's operator application and
 	// residual update: they feed only the residual of a step that never
@@ -43,18 +44,12 @@ func NewChebyshev(a Op, m Preconditioner, lambdaMax float64, steps int) *Chebysh
 // place. zeroGuess skips the initial operator application when x = 0.
 func (c *Chebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 	n := c.A.N()
-	var r, z, p, ap la.Vec
-	if len(c.Spans) > 0 {
-		// Windowed path: cached work vectors (see Spans doc).
-		if c.work[0] == nil || len(c.work[0]) != n {
-			for i := range c.work {
-				c.work[i] = la.NewVec(n)
-			}
+	if len(c.work[0]) != n {
+		for i := range c.work {
+			c.work[i] = la.NewVec(n)
 		}
-		r, z, p, ap = c.work[0], c.work[1], c.work[2], c.work[3]
-	} else {
-		r, z, p, ap = la.NewVec(n), la.NewVec(n), la.NewVec(n), la.NewVec(n)
 	}
+	r, z, p, ap := c.work[0], c.work[1], c.work[2], c.work[3]
 	sp := c.Spans
 	vcopy := func(dst, src la.Vec) {
 		if sp != nil {

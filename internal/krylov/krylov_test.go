@@ -261,6 +261,23 @@ func TestChebyshevSmootherReducesError(t *testing.T) {
 	_ = zero
 }
 
+// TestChebyshevSmoothAllocatesNothing: after the first call a smoother
+// reuses its work vectors — a V-cycle smooths every level several times
+// per outer iteration, and fresh n-vectors there dominate the garbage.
+func TestChebyshevSmoothAllocatesNothing(t *testing.T) {
+	a := lap3d(6)
+	d := la.NewVec(a.NRows)
+	a.Diag(d)
+	jac := NewJacobi(d)
+	ch := NewChebyshev(CSROp{a}, jac, EstimateLambdaMax(CSROp{a}, jac, 10), 2)
+	b := randVec(rand.New(rand.NewSource(3)), a.NRows)
+	x := la.NewVec(a.NRows)
+	ch.Smooth(b, x, true)
+	if n := testing.AllocsPerRun(10, func() { ch.Smooth(b, x, false) }); n != 0 {
+		t.Fatalf("Smooth allocates %v times per call", n)
+	}
+}
+
 func TestBlockJacobiExactWhenSingleBlock(t *testing.T) {
 	a := lap3d(3)
 	bj, err := NewBlockJacobi(a, 1)

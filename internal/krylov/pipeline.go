@@ -202,6 +202,15 @@ func pipeGCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it i
 			// exactly the removed projections: ‖q'‖² = (q,q) − Σβᵢ².
 			qn2 -= beta * beta
 		}
+		if qn2 <= 0 && j > 0 {
+			// The estimate cancelled to nothing: near stagnation the
+			// stored directions lose orthogonality and q lies almost in
+			// their span. Discard them and restart the cycle from the
+			// current iterate, as at a full window; only a fresh
+			// direction with no norm is a breakdown.
+			zs, qs = zs[:0], qs[:0]
+			continue
+		}
 		if qn2 <= 0 || badNorm(qn2) != 0 {
 			res.fail(prm, "pipegcr", BreakdownZeroPivot, it, qn2)
 			break

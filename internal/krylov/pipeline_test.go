@@ -204,3 +204,38 @@ func TestPipelinedFlagIgnoredWithoutReducer(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelinedGCRRestartsOnDependentDirection: when a preconditioned
+// direction lies in the span of the stored ones, the single-reduce norm
+// estimate ‖q‖² − Σβᵢ² cancels to zero (or below, by rounding). The
+// cycle restarts instead of breaking down. Here A = diag(2, 4) and the
+// preconditioner returns e₁ twice, then the residual: every value is a
+// power of two, so iteration 2's estimate is exactly 0, and the restarted
+// iteration 3 solves the system exactly.
+func TestPipelinedGCRRestartsOnDependentDirection(t *testing.T) {
+	bld := la.NewBuilder(2, 2)
+	bld.Add(0, 0, 2)
+	bld.Add(1, 1, 4)
+	a := CSROp{bld.ToCSR()}
+	calls := 0
+	m := PCFunc(func(r, z la.Vec) {
+		calls++
+		if calls <= 2 {
+			z[0], z[1] = 1, 0
+			return
+		}
+		z.Copy(r)
+	})
+	prm := DefaultParams()
+	prm.Pipelined = true
+	prm.Reducer = &stripeReducer{Ranks: 1}
+	x := la.NewVec(2)
+	res := GCR(a, m, la.Vec{1, 1}, x, prm, nil)
+	if res.Err != nil || !res.Converged || res.Iterations != 3 {
+		t.Fatalf("pipelined GCR: converged=%v after %d its, err %v; want convergence at iteration 3",
+			res.Converged, res.Iterations, res.Err)
+	}
+	if x[0] != 0.5 || x[1] != 0.25 {
+		t.Fatalf("x = %v, want [0.5 0.25]", x)
+	}
+}

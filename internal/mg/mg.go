@@ -131,8 +131,11 @@ type Options struct {
 	// FineOp, when non-nil, is used as the finest level's operator
 	// instead of building one from Kinds[0] (it must discretize
 	// probs[0]). The coupled Stokes solver passes its fine viscous
-	// operator here so it is constructed exactly once. Blocked/Precision
-	// substitutions never apply to a caller-provided FineOp.
+	// operator here so it is constructed exactly once. When the
+	// Blocked/Precision substitution maps FineOp's kind to another
+	// representation (Tensor → TensorC when blocked, float64 kinds →
+	// their float32 twins), the hierarchy builds that one instead and
+	// leaves FineOp to the caller.
 	FineOp op.Operator
 	// Blocked selects the cache-blocked wavefront Chebyshev smoother on
 	// every level whose operator is resident-backed (Tensor kinds are
@@ -176,7 +179,8 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 			lev.P = NewProlongation(fp.DA, p.DA, fp.BC, p.BC)
 			lev.P.Workers = opt.Workers
 		}
-		if l == 0 && opt.FineOp != nil {
+		needCSR := l == len(probs)-1
+		if l == 0 && opt.FineOp != nil && levelKind(opt.FineOp.Kind(), needCSR, opt) == opt.FineOp.Kind() {
 			lev.Op = opt.FineOp
 		} else {
 			env := op.Env{
@@ -191,7 +195,7 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 				env.FineCSR = func() *la.CSR { return finer.Op.CSR() }
 				env.Prolong = lp.ToCSR
 			}
-			kind := levelKind(opt.Kinds[l], l == len(probs)-1, opt)
+			kind := levelKind(opt.Kinds[l], needCSR, opt)
 			o, err := op.New(kind, env)
 			if err != nil {
 				return nil, fmt.Errorf("mg: level %d (%v): %w", l, kind, err)

@@ -4,9 +4,9 @@
 // plus the stored-coefficient and reduced-precision variants the
 // cache-blocked smoothers use. Each multigrid level's representation is
 // fixed by configuration, as in the paper's Tables I–IV:
-// DefaultLevelKinds gives the production layout (matrix-free fine level,
-// assembled or Galerkin coarse levels), and callers may override any
-// level explicitly.
+// DefaultLevelKinds gives the production layout (the configured fine
+// kind, assembled or Galerkin coarse levels), and callers may override
+// any level explicitly.
 //
 // Every backend carries cost metadata (setup flops/bytes, per-apply
 // flops/bytes, assembled storage footprint) derived from the analytic
@@ -25,8 +25,10 @@ import (
 type Kind int
 
 // Operator representations. The zero value is the tensor matrix-free
-// kernel — the paper's production fine-level choice — so zero-valued
-// configurations keep today's behaviour.
+// kernel, the paper's fine-level kernel. It is not the configured
+// default: stokes.DefaultConfig uses TensorC, the stored-coefficient form
+// of the same kernel, which the outer matvec and the cache-blocked
+// smoother share.
 const (
 	// Tensor applies the operator matrix-free with the tensor-product
 	// kernel ("Tens" in Tables I-III). Flag name: "mf".

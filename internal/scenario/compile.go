@@ -147,7 +147,6 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 		}
 		cfg.FineKind = k
 	}
-	cfg.Blocked = s.Blocked
 	if s.Precision == "f32" {
 		cfg.Precision = op.F32
 	}

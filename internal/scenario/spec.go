@@ -145,7 +145,6 @@ type SolverSpec struct {
 	CoarseSolver string  `json:"coarse_solver,omitempty"`
 	OuterMethod  string  `json:"outer_method,omitempty"`
 	FineKind     string  `json:"fine_kind,omitempty"`
-	Blocked      bool    `json:"blocked,omitempty"`
 	Precision    string  `json:"precision,omitempty"`
 	RTol         float64 `json:"rtol,omitempty"`
 	MaxIt        int     `json:"max_it,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mg"
+	"ptatin3d/internal/op"
 	"ptatin3d/internal/telemetry"
 )
 
@@ -71,6 +72,12 @@ func (s *errSink) note(err error) {
 	}
 }
 
+// elementApplier accumulates the viscous-block action of an element
+// subset (fem.TensorOp, fem.Resident).
+type elementApplier interface {
+	ApplyElements(elems []int, u, y la.Vec)
+}
+
 // distOp is one rank's view of the coupled operator J = [[A,G],[D,0]].
 // The viscous block is applied matrix-free over the rank's elements
 // with boundary elements first, so their nodal partial sums are in
@@ -78,7 +85,7 @@ func (s *errSink) note(err error) {
 // D blocks — are computed (§II-D latency hiding).
 type distOp struct {
 	op    *Op
-	ten   *fem.TensorOp
+	kern  elementApplier
 	dist  *comm.Dist
 	sink  *errSink
 	spans []la.Span // coupled owned+ghost windows; nil = full-length ops
@@ -98,11 +105,11 @@ func (o *distOp) Apply(x, y la.Vec) {
 	} else {
 		y.Zero()
 	}
-	o.ten.ApplyElements(l.Boundary, xu, yu)
+	o.kern.ApplyElements(l.Boundary, xu, yu)
 	o.op.C.ApplyGAddElements(l.Boundary, xp, yu)
 	err := o.dist.ReduceBroadcast(yu,
 		func() {
-			o.ten.ApplyElements(l.Interior, xu, yu)
+			o.kern.ApplyElements(l.Interior, xu, yu)
 			o.op.C.ApplyGAddElements(l.Interior, xp, yu)
 			o.op.C.ApplyDElements(l.Elems, xu, yp)
 		},
@@ -412,6 +419,14 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 	if opt.Policy != (comm.RetryPolicy{}) {
 		w.SetRetryPolicy(opt.Policy)
 	}
+	// The outer matvec runs the shared fine operator's resident kernel
+	// when it has one, so both backends apply the same stored
+	// coefficients; the tensor kernel otherwise. Both are safe to share
+	// across ranks.
+	var kern elementApplier = fem.NewTensor(s.Prob)
+	if rb, ok := s.Op.Auu.(op.ResidentBacked); ok {
+		kern = rb.Resident()
+	}
 	var (
 		mu      sync.Mutex
 		res     krylov.Result
@@ -434,7 +449,7 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 		}
 		fine := dists[0]
 		spans := coupledSpans(s.Op, fine.L)
-		a := &distOp{op: s.Op, ten: fem.NewTensor(s.Prob), dist: fine, sink: sink, spans: spans}
+		a := &distOp{op: s.Op, kern: kern, dist: fine, sink: sink, spans: spans}
 		m := &distFieldSplit{op: s.Op, dmg: dmg, mp: s.Mp, l: fine.L,
 			tu: la.NewVec(s.Op.Np), pspans: pressureSpans(fine.L)}
 		prm := prmIn

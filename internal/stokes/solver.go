@@ -29,9 +29,10 @@ type Config struct {
 	// op.Assembled, the representation the fine level actually uses.
 	FineKind op.Kind
 	// Blocked runs the V-cycle's Chebyshev smoothers cache-blocked
-	// (mg.Options.Blocked). The hierarchy then builds its own
-	// resident-backed fine operator for smoothing; the coupled outer
-	// matvec keeps the FineKind representation. Bit-identical smoothing,
+	// (mg.Options.Blocked) on every level with a resident backing.
+	// With a resident fine kind (TensorC, the default) the hierarchy
+	// smooths over the coupled matvec's own fine operator; with Tensor
+	// it builds a TensorC twin for smoothing. Bit-identical smoothing,
 	// purely a performance substitution. Ignored when Levels <= 1.
 	Blocked bool
 	// Precision runs the V-cycle's operator stack at the given width
@@ -79,8 +80,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's production configuration: 3 levels,
-// matrix-free tensor fine level, V(2,2), Galerkin coarsest operator, one
-// GAMG V-cycle as coarse solver, GCR outer to rtol 1e-5 (§IV-A).
+// V(2,2), Galerkin coarsest operator, one GAMG V-cycle as coarse solver,
+// GCR outer to rtol 1e-5 (§IV-A). The fine level is the stored-coefficient
+// tensor kernel (TensorC, "mfc") smoothed cache-blocked: one resident
+// operator serves the outer matvec and the wavefront Chebyshev smoother,
+// whose iterates are bit-identical to the unblocked recurrence. It is the
+// fastest layout measured by the time-loop benchmark; the paper's tables
+// pin their fine kind explicitly.
 func DefaultConfig() Config {
 	prm := krylov.DefaultParams()
 	prm.RTol = 1e-5
@@ -88,7 +94,8 @@ func DefaultConfig() Config {
 	prm.Restart = 50
 	return Config{
 		Levels:       3,
-		FineKind:     op.Tensor,
+		FineKind:     op.TensorC,
+		Blocked:      true,
 		SmoothSteps:  2,
 		CoarseSolver: "gamg",
 		OuterMethod:  "gcr",
@@ -214,19 +221,15 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		innerU = sa
 	} else {
 		probs := mg.CoarsenProblems(prob, cfg.Levels, cfg.CoeffCoarsen)
-		// With blocked or reduced-precision smoothing the hierarchy must
-		// build its own fine-level operator (TensorC/TensorF32) — the
-		// shared coupled operator stays the full-precision FineKind, so
-		// outer residuals are untouched by the preconditioner's precision.
-		fineOp := auu
-		if cfg.Blocked || cfg.Precision == op.F32 {
-			fineOp = nil
-		}
+		// The hierarchy smooths over auu unless Blocked/Precision
+		// substitutes another fine representation (mg.Options.FineOp);
+		// the coupled operator stays FineKind either way, so outer
+		// residuals are untouched by the preconditioner's precision.
 		gmg, err := mg.Build(probs, mg.Options{
 			Kinds:       levelKinds,
 			SmoothSteps: cfg.SmoothSteps,
 			Workers:     cfg.Workers,
-			FineOp:      fineOp,
+			FineOp:      auu,
 			Blocked:     cfg.Blocked,
 			Precision:   cfg.Precision,
 		})
@@ -361,8 +364,9 @@ func (s *Solver) Refresh(geomChanged bool) error {
 	s.Mp.Setup()
 	if s.MG != nil {
 		if any(s.MG.Levels[0].Op) != any(s.Op.Auu) {
-			// Blocked/F32 hierarchies own their fine operator; the shared
-			// coupled-matvec operator refreshes separately.
+			// A hierarchy with a substituted fine operator (Blocked over
+			// Tensor, F32) owns it; the coupled-matvec operator refreshes
+			// separately.
 			if err := op.Refresh(s.Op.Auu); err != nil {
 				return fmt.Errorf("stokes: fine operator refresh: %w", err)
 			}

@@ -455,6 +455,7 @@ func TestF32PreconditionedConvergence(t *testing.T) {
 func TestBlockedSolveMatchesUnblocked(t *testing.T) {
 	p1, def := sinkerProblem(8, 1000, 2)
 	cfg := sinkerConfig(p1, def)
+	cfg.Blocked = false
 	cfg.Params.RTol = 1e-5
 	cfg.Params.MaxIt = 500
 	cfgB := cfg
@@ -472,5 +473,46 @@ func TestBlockedSolveMatchesUnblocked(t *testing.T) {
 	diff.AXPY(-1, x2)
 	if rel := diff.Norm2() / x1.Norm2(); rel > 1e-4 {
 		t.Fatalf("blocked and unblocked solutions differ: rel %.3e", rel)
+	}
+}
+
+// TestDefaultSharesBlockedFineLevel pins the default layout: one resident
+// (mfc) fine operator serves both the coupled matvec and the V-cycle,
+// which smooths it cache-blocked. Only a substitution the hierarchy must
+// make — a resident twin for a blocked Tensor fine level, a float32 twin
+// for an F32 V-cycle — gives the hierarchy a fine operator of its own;
+// an assembled fine level (Table IV) is shared and smoothed unblocked.
+func TestDefaultSharesBlockedFineLevel(t *testing.T) {
+	cases := []struct {
+		name            string
+		kind            op.Kind
+		prec            op.Precision
+		shared, blocked bool
+	}{
+		{"default", DefaultConfig().FineKind, op.F64, true, true},
+		{"mf", op.Tensor, op.F64, false, true},
+		{"mfc-f32", op.TensorC, op.F32, false, true},
+		{"asm", op.Assembled, op.F64, true, false},
+	}
+	for _, c := range cases {
+		p, def := sinkerProblem(4, 100, 2)
+		cfg := sinkerConfig(p, def)
+		cfg.Levels = 2
+		cfg.FineKind = c.kind
+		cfg.Precision = c.prec
+		s, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lev := s.MG.Levels[0]
+		if blocked := lev.Blocked != nil; blocked != c.blocked {
+			t.Errorf("%s: fine level smooths blocked = %v, want %v", c.name, blocked, c.blocked)
+		}
+		if shared := any(lev.Op) == any(s.Op.Auu); shared != c.shared {
+			t.Errorf("%s: fine operator shared with the coupled matvec = %v, want %v", c.name, shared, c.shared)
+		}
+	}
+	if k := DefaultConfig().FineKind; k != op.TensorC {
+		t.Errorf("default fine kind %v, want mfc", k)
 	}
 }

@@ -167,7 +167,8 @@ type OpKind = op.Kind
 func ParseOpKind(s string) (OpKind, error) { return op.ParseKind(s) }
 
 // DefaultStokesConfig returns the paper's production configuration
-// (§IV-A): 3 levels, matrix-free tensor fine level, V(2,2) Chebyshev,
+// (§IV-A): 3 levels, stored-coefficient tensor fine level (mfc) shared by
+// the outer matvec and a cache-blocked V(2,2) Chebyshev smoother,
 // Galerkin coarsest operator, one GAMG V-cycle coarse solve, GCR outer.
 func DefaultStokesConfig() StokesConfig { return stokes.DefaultConfig() }
 
