@@ -20,6 +20,10 @@ type ASM struct {
 	iluF     []*la.ILU0 // ILU(0) factors (Exact=false)
 	luF      []*la.LU   // dense LU factors (Exact=true)
 	restrict bool
+	// rl, zl are the subdomain work vectors, sized to the largest
+	// subdomain and reused by every Apply, so an ASM is not safe for
+	// concurrent Apply calls (distributed coarse solves are serialized).
+	rl, zl la.Vec
 }
 
 // ASMOptions configures NewASM.
@@ -81,6 +85,9 @@ func NewASM(a *la.CSR, opt ASMOptions) (*ASM, error) {
 		}
 		sub := la.ExtractSubmatrix(a, rows)
 		asm.subRows = append(asm.subRows, rows)
+		if len(rows) > len(asm.rl) {
+			asm.rl, asm.zl = la.NewVec(len(rows)), la.NewVec(len(rows))
+		}
 		asm.baseMask = append(asm.baseMask, base)
 		if opt.Exact {
 			d := la.NewDense(sub.NRows, sub.NCols)
@@ -114,11 +121,10 @@ func (asm *ASM) NumSubdomains() int { return len(asm.subRows) }
 func (asm *ASM) Apply(r, z la.Vec) {
 	z.Zero()
 	for s, rows := range asm.subRows {
-		rl := la.NewVec(len(rows))
+		rl, zl := asm.rl[:len(rows)], asm.zl[:len(rows)]
 		for l, g := range rows {
 			rl[l] = r[g]
 		}
-		zl := la.NewVec(len(rows))
 		if asm.luF[s] != nil {
 			asm.luF[s].Solve(rl, zl)
 		} else {

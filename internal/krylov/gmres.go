@@ -64,16 +64,14 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 	}
 	stag := newStagGuard(prm)
 
+	// The Krylov basis grows on demand: a solve that converges in k
+	// iterations holds k+1 (FGMRES: 2k+1) vectors, not the full restart
+	// window, so its transient footprint does not scale with Restart.
 	v := make([]la.Vec, mr+1)
-	for i := range v {
-		v[i] = la.NewVec(n)
-	}
+	v[0] = la.NewVec(n)
 	var z []la.Vec
 	if flexible {
 		z = make([]la.Vec, mr)
-		for i := range z {
-			z[i] = la.NewVec(n)
-		}
 	}
 	h := make([]float64, (mr+1)*mr) // Hessenberg, h[i*mr+j]
 	cs := make([]float64, mr)
@@ -112,7 +110,13 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		j := 0
 		for ; j < mr && it < prm.MaxIt; j++ {
 			it++
+			if v[j+1] == nil {
+				v[j+1] = la.NewVec(n)
+			}
 			if flexible {
+				if z[j] == nil {
+					z[j] = la.NewVec(n)
+				}
 				m.Apply(v[j], z[j])
 				a.Apply(z[j], w)
 			} else {

@@ -3,6 +3,7 @@ package krylov
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -170,6 +171,34 @@ func TestGCRCallbackSeesTrueResidual(t *testing.T) {
 // TestFlexibleToleratesVariablePC: FGMRES and GCR must converge with a
 // preconditioner that changes every application (here: randomized damping),
 // while this would break plain GMRES's reconstruction.
+// TestFGMRESBasisGrowsWithIterations pins the on-demand Krylov basis: a
+// solve that converges well inside a wide restart window allocates the
+// vectors its iterations reach, not 2·Restart+1 of them.
+func TestFGMRESBasisGrowsWithIterations(t *testing.T) {
+	a := lap3d(20)
+	n := a.NRows
+	b := randVec(rand.New(rand.NewSource(4)), n)
+	x := la.NewVec(n)
+	prm := DefaultParams()
+	prm.RTol = 1e-3
+	prm.Restart = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := FGMRES(CSROp{a}, Identity{}, b, x, prm)
+	runtime.ReadMemStats(&m1)
+	if !res.Converged || res.Iterations >= prm.Restart/4 {
+		t.Fatalf("want convergence well inside the restart window: %+v", res)
+	}
+	// r, w, zt, v[0..k], z[0..k-1], plus the O(Restart²) Hessenberg
+	// arrays and 512 KiB for bookkeeping (history, telemetry).
+	mr := prm.Restart
+	bound := 8*(n*(2*res.Iterations+4)+(mr+1)*mr+4*mr) + 512<<10
+	if got := int(m1.TotalAlloc - m0.TotalAlloc); got > bound {
+		t.Fatalf("FGMRES allocated %d bytes in %d iterations, want <= %d (full basis: %d)",
+			got, res.Iterations, bound, 8*n*(2*mr+1))
+	}
+}
+
 func TestFlexibleToleratesVariablePC(t *testing.T) {
 	a := lap3d(5)
 	rng := rand.New(rand.NewSource(6))
@@ -333,6 +362,19 @@ func TestASMPreconditioner(t *testing.T) {
 		if rn := residualNorm(a, b, x); !res.Converged || rn > 1e-6*b.Norm2() {
 			t.Fatalf("exact=%v: ASM-CG residual %v (converged=%v)", exact, rn, res.Converged)
 		}
+	}
+}
+
+func TestASMApplyAllocatesNothing(t *testing.T) {
+	a := lap3d(8)
+	asm, err := NewASM(a, ASMOptions{Subdomains: 8, Overlap: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := randVec(rand.New(rand.NewSource(12)), a.NRows)
+	z := la.NewVec(a.NRows)
+	if n := testing.AllocsPerRun(10, func() { asm.Apply(r, z) }); n != 0 {
+		t.Fatalf("Apply allocates %v times per call", n)
 	}
 }
 
